@@ -5,7 +5,12 @@ Supports two distinct needs of the paper's evaluation:
 * **Availability Change Index** (§4.3.1, eq. 5): the broker keeps an
   average ``r_avg_avail`` of the availability values *reported* during
   the past ``T`` time units; ``alpha = r_avail / r_avg_avail`` reflects
-  the trend.  The average is updated after each report.
+  the trend.  The average is updated after each report.  It is kept as a
+  running sum, so a probe costs O(1) amortized: each report is added
+  once, and the sum is rebuilt over the remaining reports only when some
+  report leaves the window.  The reservation daemon and the cluster
+  shards never advance their DES clock, so there the window spans the
+  whole lifetime of the process and no report ever leaves it.
 * **Stale observations** (§5.2.4): the inaccuracy experiments observe a
   resource's availability as it was up to ``E`` time units ago, so the
   true availability must be reconstructible for any past instant.
@@ -34,6 +39,7 @@ class AvailabilityHistory:
             raise BrokerError(f"averaging window must be positive, got {window!r}")
         self.window = float(window)
         self._reports: Deque[Tuple[float, float]] = deque()
+        self._report_sum: float = 0
         self._change_times: List[float] = []
         self._change_values: List[float] = []
         self._max_changes = max_changes
@@ -46,17 +52,29 @@ class AvailabilityHistory:
         The index compares the current availability against the mean of
         the values reported in the window *before* this report (the paper
         updates the average after each report).  Returns 1.0 when there
-        is no history yet -- "unchanged".
+        is no history yet -- "unchanged".  The window's sum is always the
+        plain left-to-right fold of its values, which is what ``sum()``
+        computes up to CPython 3.11 (3.12 compensates float sums), so
+        the index does not depend on the interpreter.
         """
+        reports = self._reports
         cutoff = now - self.window
-        while self._reports and self._reports[0][0] < cutoff:
-            self._reports.popleft()
-        if self._reports:
-            mean = sum(value for _t, value in self._reports) / len(self._reports)
+        if reports and reports[0][0] < cutoff:
+            while reports and reports[0][0] < cutoff:
+                reports.popleft()
+            # Rebuild rather than subtract: the same left-to-right fold
+            # as appending gives a bit-exact mean for any window.
+            total = 0
+            for _t, value in reports:
+                total += value
+            self._report_sum = total
+        if reports:
+            mean = self._report_sum / len(reports)
             index = 1.0 if mean <= 0 else available / mean
         else:
             index = 1.0
-        self._reports.append((now, available))
+        reports.append((now, available))
+        self._report_sum += available
         return index
 
     # -- change log (retrospective availability) -----------------------------

@@ -35,12 +35,13 @@ Every request is handled under a request-scoped
 every span the coordinator emits and every causal event carries the
 request's ``trace_id``/``request_id``; trace ids never appear in
 response bodies, so decisions stay byte-identical to in-process calls.
-Per-phase admission latency (parse / queue_wait / plan / commit /
+Per-phase admission latency (idle / parse / queue_wait / plan / commit /
 serialize) lands in ``daemon.admission_phase_seconds`` histograms with
-trace-id exemplars, and an always-on :class:`~repro.obs.flight
-.FlightRecorder` keeps the most recent spans + events + wire counters
-for postmortem dumps (SIGQUIT, unhandled exception, or the debug
-endpoint).
+trace-id exemplars (``parse`` runs from the request line's arrival,
+``idle`` is the keep-alive wait before it), and an always-on
+:class:`~repro.obs.flight.FlightRecorder` keeps the most recent spans +
+events + wire counters for postmortem dumps (SIGQUIT, unhandled
+exception, or the debug endpoint).
 """
 
 from __future__ import annotations
@@ -905,7 +906,7 @@ class ReservationDaemon:
         self._connections.add(writer)
         try:
             while True:
-                started = _time.perf_counter()
+                waiting = _time.perf_counter()
                 request: Optional[_http.Request] = None
                 context: Optional[_context.TraceContext] = None
                 response: Optional[bytes] = None
@@ -913,7 +914,11 @@ class ReservationDaemon:
                     request = await _http.read_request(reader)
                     if request is None:
                         return
+                    # Parse runs from the request line's arrival; the
+                    # keep-alive wait before it is idle time, not parse.
+                    started = request.arrived
                     parse_seconds = _time.perf_counter() - started
+                    idle_seconds = started - waiting
                     self.stats.requests += 1
                     self.service.flight.record_wire("requests")
                     if request.path == "/v1/events" and request.wants_websocket:
@@ -927,7 +932,7 @@ class ReservationDaemon:
                     token = _context.bind_trace_context(context)
                     try:
                         response = await self._dispatch(
-                            request, parse_seconds, close
+                            request, parse_seconds, idle_seconds, close
                         )
                     finally:
                         _context.reset_trace_context(token)
@@ -1006,7 +1011,11 @@ class ReservationDaemon:
         print(json.dumps(line, sort_keys=True), file=_sys.stderr, flush=True)
 
     async def _dispatch(
-        self, request: _http.Request, parse_seconds: float, close: bool = True
+        self,
+        request: _http.Request,
+        parse_seconds: float,
+        idle_seconds: float,
+        close: bool = True,
     ) -> bytes:
         route = (request.method, request.path)
         if route == ("GET", "/healthz"):
@@ -1078,7 +1087,9 @@ class ReservationDaemon:
         payload = request.json()
         parse_seconds += _time.perf_counter() - decode_started
         name = request.path.rsplit("/", 1)[1]
-        return await self._admit(handler, payload, name, parse_seconds, close)
+        return await self._admit(
+            handler, payload, name, parse_seconds, idle_seconds, close
+        )
 
     def _debug_dump(self) -> dict:
         path = self.service.flight_dump("debug_endpoint")
@@ -1093,14 +1104,15 @@ class ReservationDaemon:
         payload: dict,
         name: str,
         parse_seconds: float,
+        idle_seconds: float,
         close: bool = True,
     ) -> bytes:
         """Run one admission operation serialized under the lock.
 
         The in-flight window covers lock wait + execution, so shutdown's
         drain barrier sees every request that was accepted before the
-        draining flag flipped.  Each phase of the admission (parse /
-        queue_wait / plan / commit / serialize) lands in the
+        draining flag flipped.  Each phase of the admission (idle /
+        parse / queue_wait / plan / commit / serialize) lands in the
         ``daemon.admission_phase_seconds`` histogram, exemplared with
         the request's trace id.
         """
@@ -1121,6 +1133,7 @@ class ReservationDaemon:
                 serialize_seconds = _time.perf_counter() - serialize_started
                 self._observe_phases(
                     trace_id,
+                    idle=idle_seconds,
                     parse=parse_seconds,
                     queue_wait=queue_wait,
                     plan=plan_seconds,

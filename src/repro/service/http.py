@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import struct
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -88,6 +89,9 @@ class Request:
     query: Dict[str, str]
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    #: ``time.perf_counter()`` when the request line arrived, so a
+    #: server can tell parse time from keep-alive idle time.
+    arrived: float = 0.0
 
     def json(self) -> dict:
         """The body decoded as a JSON object ({} when empty)."""
@@ -111,10 +115,15 @@ class Request:
 
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request; None on clean EOF before any bytes arrive."""
+    head = b""
     try:
-        head = await reader.readuntil(b"\r\n\r\n")
+        # Read up to the request line's CR first to stamp its arrival;
+        # the rest of the head then ends at the first LF CR LF.
+        head = await reader.readuntil(b"\r")
+        arrived = time.perf_counter()
+        head += await reader.readuntil(b"\n\r\n")
     except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
+        if not head and not exc.partial:
             return None
         raise ProtocolError("connection closed mid-request") from exc
     except asyncio.LimitOverrunError as exc:
@@ -157,6 +166,7 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         query=query,
         headers=headers,
         body=body,
+        arrived=arrived,
     )
 
 

@@ -1,6 +1,11 @@
 """Tests for AvailabilityHistory: alpha windows and change logs."""
 
+import time
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.brokers import AvailabilityHistory
 from repro.core.errors import BrokerError
@@ -80,3 +85,86 @@ class TestChangeLog:
         assert len(history) == 2
         # clamped to the oldest retained point
         assert history.value_at(0.0) == 30.0
+
+
+def _full_sum_alpha_reference(window: float):
+    """The previous ``alpha``: the window mean recomputed from scratch.
+
+    The sum is spelled out as the left-to-right fold that ``sum()`` was
+    up to CPython 3.11 (3.12 compensates float sums).
+    """
+    reports = deque()
+
+    def alpha(now, available):
+        cutoff = now - window
+        while reports and reports[0][0] < cutoff:
+            reports.popleft()
+        if reports:
+            total = 0
+            for _t, value in reports:
+                total += value
+            mean = total / len(reports)
+            index = 1.0 if mean <= 0 else available / mean
+        else:
+            index = 1.0
+        reports.append((now, available))
+        return index
+
+    return alpha
+
+
+_gaps = st.one_of(
+    st.just(0.0),
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=2.0, max_value=12.0),
+)
+_values = st.one_of(
+    st.just(0),
+    st.just(0.0),
+    st.integers(min_value=-(10**6), max_value=10**12),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=0.0, max_value=1e12),
+    st.sampled_from([1e12, 0.1, 1e-9, 1.0 / 3.0]),
+)
+
+
+class TestRunningMean:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        window=st.floats(min_value=0.01, max_value=10.0),
+        start=st.floats(min_value=-100.0, max_value=100.0),
+        stream=st.lists(st.tuples(_gaps, _values), max_size=80),
+    )
+    def test_matches_full_sum_reference_exactly(self, window, start, stream):
+        history = AvailabilityHistory(window=window)
+        reference = _full_sum_alpha_reference(history.window)
+        now = start
+        for gap, value in stream:
+            now += gap
+            expected = reference(now, value)
+            assert history.alpha(now, value) == expected
+
+    def test_probe_cost_does_not_grow_with_uptime(self):
+        """A frozen clock keeps every report; a probe must stay O(1)."""
+        values = (100.0, 60.0, 40.0, 75.5)
+        aged = AvailabilityHistory(window=3.0)
+        started = time.perf_counter()
+        for i in range(200_000):
+            aged.alpha(0.0, values[i % 4])
+            if i % 10_000 == 0:
+                assert time.perf_counter() - started < 30.0, (
+                    f"filling {i} reports took over 30 s"
+                )
+
+        def probe_seconds(history):
+            begin = time.perf_counter()
+            for i in range(1000):
+                history.alpha(0.0, values[i % 4])
+            return time.perf_counter() - begin
+
+        aged_s = min(probe_seconds(aged) for _ in range(5))
+        fresh_s = min(
+            probe_seconds(AvailabilityHistory(window=3.0)) for _ in range(5)
+        )
+        assert aged_s <= 5.0 * fresh_s, (aged_s, fresh_s)

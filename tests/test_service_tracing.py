@@ -210,6 +210,43 @@ def test_admission_phase_histograms_with_exemplars():
     asyncio.run(scenario())
 
 
+def test_parse_phase_excludes_keep_alive_idle_time(capsys):
+    """A client pausing between requests on a reused socket is idle,
+    not parsing: the pause lands in phase="idle" only."""
+    pause = 0.2
+
+    async def scenario():
+        daemon = await start_daemon(seed=3, access_log=True)
+        try:
+            client = ServiceClient("127.0.0.1", daemon.port)
+            await client.establish(service="S2", domain="D1", session_id="k-1")
+            await asyncio.sleep(pause)
+            await client.establish(service="S2", domain="D1", session_id="k-2")
+            assert client.connections_reused >= 1
+            phases = {
+                phase: daemon.service.registry.histogram(
+                    "daemon.admission_phase_seconds", phase=phase
+                )
+                for phase in ("parse", "idle")
+            }
+            await client.aclose()
+            return phases["parse"], phases["idle"]
+        finally:
+            await daemon.shutdown()
+
+    parse, idle = asyncio.run(scenario())
+    assert parse.count == idle.count == 2
+    assert parse.max < pause / 10
+    assert idle.max >= pause * 0.9
+    lines = [
+        json.loads(line)
+        for line in capsys.readouterr().err.splitlines()
+        if line.startswith("{")
+    ]
+    second = [line for line in lines if line["path"] == "/v1/establish"][1]
+    assert second["duration_ms"] < 1e3 * pause / 2
+
+
 # ---------------------------------------------------------------------------
 # healthz + debug dump + access log
 
