@@ -61,7 +61,7 @@ from repro.service.daemon import (
     _establishment_to_dict,
 )
 from repro.sim.environment import GridEnvironment
-from repro.sim.experiment import CONTENTION_INDICES
+from repro.sim.experiment import CONTENTION_INDICES, make_planner
 from repro.sim.workload import SessionArrival
 
 from repro.cluster.shardmap import ShardMap
@@ -295,7 +295,7 @@ class ClusterCoordinator:
         self.shard_map = ShardMap.from_topology(
             self.grid.topology, len(self.shards)
         )
-        self.planner = _make_planner(algorithm, tie_break, self.streams)
+        self.planner = make_planner(algorithm, tie_break, self.streams)
         self.contention_index = CONTENTION_INDICES[contention_index]
         self.seed = seed
         self.algorithm = algorithm
@@ -775,17 +775,6 @@ class ClusterCoordinator:
             await shard.aclose()
 
 
-def _make_planner(algorithm: str, tie_break: bool, streams: RandomStreams):
-    from repro.core.planner import BasicPlanner, RandomPlanner
-    from repro.core.tradeoff import TradeoffPlanner
-
-    if algorithm == "basic":
-        return BasicPlanner(tie_break=tie_break)
-    if algorithm == "tradeoff":
-        return TradeoffPlanner(tie_break=tie_break)
-    return RandomPlanner(rng=streams.stream("random-planner"))
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """One router instance: where to listen and which shards to front."""
@@ -798,7 +787,6 @@ class ClusterConfig:
     capacity_range: Tuple[float, float] = (1000.0, 4000.0)
     contention_index: str = "ratio"
     tie_break: bool = True
-    drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
         if not self.shards:
@@ -808,11 +796,13 @@ class ClusterConfig:
 class ClusterDaemon:
     """Serves a :class:`ClusterCoordinator` over the daemon wire protocol.
 
-    Establishments and teardowns run serialized under one lock (like the
-    shard daemons' own admission lock), so router decisions for a given
-    request order are deterministic.  Keep-alive, trace propagation and
-    the drain-refusal body all match :class:`ReservationDaemon`, which
-    is what lets the load generator point at a cluster unchanged.
+    Establishments and teardowns run serialized under one lock: the
+    router awaits shard round trips mid-admission, so without it two
+    admissions would plan against the same snapshot.  Router decisions
+    for a given request order are therefore deterministic.  Keep-alive,
+    trace propagation and the drain-refusal body all match
+    :class:`ReservationDaemon`, which is what lets the load generator
+    point at a cluster unchanged.
     """
 
     def __init__(

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.brokers.registry import AnyReservation, BrokerRegistry
 from repro.core.component import Binding
@@ -54,8 +54,8 @@ from repro.runtime.messages import AvailabilityRequest, PlanSegment
 from repro.runtime.model_store import ModelStore
 from repro.runtime.proxy import QoSProxy
 
-__all__ = ["Lease", "FaultTolerantCoordinator", "FaultyCoordinator",
-           "FaultTolerantDistributedCoordinator"]
+__all__ = ["Lease", "LeaseTable", "FaultTolerantCoordinator",
+           "FaultyCoordinator", "FaultTolerantDistributedCoordinator"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,74 @@ class Lease(object):
         return self.reserved_at + self.ttl
 
 
+class LeaseTable:
+    """The pending TTL leases of one lease holder.
+
+    Owns the lease-id sequence, the pending map and the TTL rule, and
+    nothing else: callers release a lease's reservations and emit its
+    ``lease.*`` events themselves.  Lease ids read
+    ``<session><separator><host>#<n>``, numbered from 1 in creation
+    order whether or not the lease ever becomes pending; ``clock``
+    stamps new leases and is the default ``now`` of :meth:`expire`.
+    """
+
+    def __init__(
+        self, *, ttl: float, clock: Callable[[], float], separator: str = "/"
+    ) -> None:
+        self._ttl = ttl
+        self._clock = clock
+        self._separator = separator
+        self._seq = itertools.count(1)
+        self._pending: Dict[str, Lease] = {}
+
+    def new(self, session_id: str, host: str, reservations) -> Lease:
+        """A lease with the next id (call :meth:`add` to make it pending)."""
+        return Lease(
+            lease_id=f"{session_id}{self._separator}{host}#{next(self._seq)}",
+            session_id=session_id,
+            host=host,
+            reservations=tuple(reservations),
+            reserved_at=self._clock(),
+            ttl=self._ttl,
+        )
+
+    def add(self, lease: Lease) -> None:
+        self._pending[lease.lease_id] = lease
+
+    def pop(self, lease_id: str) -> Optional[Lease]:
+        """Remove and return a pending lease (None when unknown)."""
+        return self._pending.pop(lease_id, None)
+
+    def expire(self, now: Optional[float] = None, *, force: bool = False) -> List[Lease]:
+        """Remove and return every lease due at ``now``, in lease-id order.
+
+        A lease is due once ``now >= expires_at``; ``force`` takes all.
+        """
+        now = self._clock() if now is None else now
+        expired = [
+            self._pending[key]
+            for key in sorted(self._pending)
+            if force or now >= self._pending[key].expires_at
+        ]
+        for lease in expired:
+            del self._pending[lease.lease_id]
+        return expired
+
+    def retire_session(self, session_id: str) -> None:
+        """Forget a session's pending leases without releasing them."""
+        for key in [
+            k for k, lease in self._pending.items() if lease.session_id == session_id
+        ]:
+            del self._pending[key]
+
+    def pending(self) -> Tuple[Lease, ...]:
+        """The pending leases, in lease-id order."""
+        return tuple(self._pending[key] for key in sorted(self._pending))
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+
 class FaultTolerantCoordinator(ReservationCoordinator):
     """The three-phase protocol with timeouts, retries, leases, replans."""
 
@@ -95,9 +163,10 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         super().__init__(registry, model_store, proxies)
         self.injector = injector if injector is not None else FaultInjector.disabled()
         self._env = env
-        #: Orphaned leases awaiting the reaper, keyed by lease id.
-        self._leases: Dict[str, Lease] = {}
-        self._lease_seq = itertools.count(1)
+        #: Orphaned leases awaiting the reaper.
+        self._leases = LeaseTable(
+            ttl=self.injector.config.lease_ttl, clock=lambda: self.now
+        )
         #: Total orphaned leases reclaimed (watchdogs + explicit reaps).
         self.leases_reaped = 0
 
@@ -110,7 +179,7 @@ class FaultTolerantCoordinator(ReservationCoordinator):
 
     def pending_leases(self) -> Tuple[Lease, ...]:
         """Orphaned leases not yet reclaimed, in lease-id order."""
-        return tuple(self._leases[key] for key in sorted(self._leases))
+        return self._leases.pending()
 
     # -- entry points ------------------------------------------------------
 
@@ -380,7 +449,7 @@ class FaultTolerantCoordinator(ReservationCoordinator):
                 except AdmissionError as exc:
                     return ("admission_failed", exc.resource_id)
                 made = proxy.held_for(session_id)[before:]
-                lease = self._new_lease(session_id, proxy.host, made)
+                lease = self._leases.new(session_id, proxy.host, made)
                 ack_fault = self.injector.message_fault("ack", proxy.host, session_id)
                 if ack_fault is None:
                     delay = self.injector.message_delay("ack", proxy.host, session_id)
@@ -398,16 +467,6 @@ class FaultTolerantCoordinator(ReservationCoordinator):
 
     # -- leases and the orphan reaper ---------------------------------------
 
-    def _new_lease(self, session_id: str, host: str, reservations) -> Lease:
-        return Lease(
-            lease_id=f"{session_id}/{host}#{next(self._lease_seq)}",
-            session_id=session_id,
-            host=host,
-            reservations=tuple(reservations),
-            reserved_at=self.now,
-            ttl=self.injector.config.lease_ttl,
-        )
-
     def _release_or_orphan(self, lease: Lease) -> None:
         """Roll a lease back -- or orphan it when the release is lost."""
         fault = self.injector.message_fault("release", lease.host, lease.session_id)
@@ -419,7 +478,7 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         self._orphan(lease)
 
     def _orphan(self, lease: Lease) -> None:
-        self._leases[lease.lease_id] = lease
+        self._leases.add(lease)
         registry = _metrics.active_registry()
         if registry is not None:
             registry.counter("coordinator.leases_orphaned").inc()
@@ -429,11 +488,11 @@ class FaultTolerantCoordinator(ReservationCoordinator):
     def _lease_watchdog(self, lease: Lease):
         """DES process reclaiming one orphan when its TTL expires."""
         yield self._env.timeout(max(0.0, lease.expires_at - self._env.now))
-        if lease.lease_id in self._leases:
+        if self._leases.pop(lease.lease_id) is not None:
             self._reap(lease)
 
     def _reap(self, lease: Lease) -> None:
-        self._leases.pop(lease.lease_id, None)
+        """Release an expired orphan (already out of the lease table)."""
         self.leases_reaped += 1
         proxy = self.proxies.get(lease.host)
         released = (
@@ -460,16 +519,10 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         serves the synchronous driver and end-of-run cleanup before
         :meth:`~repro.brokers.registry.BrokerRegistry.assert_quiescent`.
         """
-        instant = self.now if now is None else now
-        reaped = 0
-        for key in sorted(self._leases):
-            lease = self._leases.get(key)
-            if lease is None:
-                continue
-            if force or instant >= lease.expires_at:
-                self._reap(lease)
-                reaped += 1
-        return reaped
+        expired = self._leases.expire(now, force=force)
+        for lease in expired:
+            self._reap(lease)
+        return len(expired)
 
     def teardown(self, session_id: str) -> int:
         """Tear the session down and retire its orphaned leases.
@@ -478,10 +531,7 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         so the parent teardown releases them; dropping the lease records
         first turns the pending watchdogs into no-ops.
         """
-        for key in [
-            k for k, lease in self._leases.items() if lease.session_id == session_id
-        ]:
-            del self._leases[key]
+        self._leases.retire_session(session_id)
         return super().teardown(session_id)
 
     # -- small helpers -------------------------------------------------------
@@ -574,8 +624,9 @@ class FaultTolerantDistributedCoordinator(DistributedCoordinator):
     ) -> None:
         super().__init__(registry, structure_store, proxies)
         self.injector = injector if injector is not None else FaultInjector.disabled()
-        self._leases: Dict[str, Lease] = {}
-        self._lease_seq = itertools.count(1)
+        self._leases = LeaseTable(
+            ttl=self.injector.config.lease_ttl, clock=lambda: self.injector.now
+        )
 
     def establish(self, session_id, service_name, binding, planner, **kwargs):
         if self.injector.is_zero:
@@ -660,14 +711,7 @@ class FaultTolerantDistributedCoordinator(DistributedCoordinator):
                         failed_resource = exc.resource_id
                         break
                     made = proxy.held_for(session_id)[before:]
-                    candidate = Lease(
-                        lease_id=f"{session_id}/{host}#{next(self._lease_seq)}",
-                        session_id=session_id,
-                        host=host,
-                        reservations=tuple(made),
-                        reserved_at=self.injector.now,
-                        ttl=config.lease_ttl,
-                    )
+                    candidate = self._leases.new(session_id, host, made)
                     if self.injector.message_fault("ack", host, session_id) is None:
                         lease = candidate
                         break
@@ -693,30 +737,22 @@ class FaultTolerantDistributedCoordinator(DistributedCoordinator):
                 lease.session_id, lease.reservations
             )
             return
-        self._leases[lease.lease_id] = lease
+        self._leases.add(lease)
 
     def pending_leases(self) -> Tuple[Lease, ...]:
         """Orphaned leases not yet reclaimed, in lease-id order."""
-        return tuple(self._leases[key] for key in sorted(self._leases))
+        return self._leases.pending()
 
     def reap_orphans(self, *, now: Optional[float] = None, force: bool = False) -> int:
         """Reclaim expired orphans (all of them with ``force``)."""
-        instant = self.injector.now if now is None else now
-        reaped = 0
-        for key in sorted(self._leases):
-            lease = self._leases[key]
-            if force or instant >= lease.expires_at:
-                del self._leases[key]
-                proxy = self.proxies.get(lease.host)
-                if proxy is not None:
-                    proxy.release_reservations(lease.session_id, lease.reservations)
-                reaped += 1
-        return reaped
+        expired = self._leases.expire(now, force=force)
+        for lease in expired:
+            proxy = self.proxies.get(lease.host)
+            if proxy is not None:
+                proxy.release_reservations(lease.session_id, lease.reservations)
+        return len(expired)
 
     def teardown(self, session_id: str) -> int:
         """Tear the session down and retire its orphaned leases."""
-        for key in [
-            k for k, lease in self._leases.items() if lease.session_id == session_id
-        ]:
-            del self._leases[key]
+        self._leases.retire_session(session_id)
         return super().teardown(session_id)

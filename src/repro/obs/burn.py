@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs import events as _events
 from repro.obs.slo import BurnRateSLO
-from repro.obs.telemetry import TimeSeriesStore
+from repro.obs.telemetry import TimeSeriesStore, parse_selector
 
 __all__ = ["BurnRateEngine", "SLOStatus", "default_cluster_slos"]
 
@@ -50,7 +50,9 @@ def default_cluster_slos(*, short_window: float = 6.0,
       shards).  A ``kill -9``'d shard turns its slice of traffic into
       infra rejections, which is exactly what burns this budget.
     * ``admission-latency`` -- the fraction of shard-side planning
-      phases that exceed 250 ms, merged across every shard.
+      phases (``phase="plan"`` only: the ``idle`` phase is the client's
+      keep-alive gap, not admission work) that exceed 250 ms, merged
+      across every shard.
     """
     return [
         BurnRateSLO(
@@ -72,7 +74,7 @@ def default_cluster_slos(*, short_window: float = 6.0,
             name="admission-latency",
             kind="latency",
             target=0.95,
-            histogram="repro_daemon_admission_phase_seconds",
+            histogram='repro_daemon_admission_phase_seconds{phase="plan"}',
             latency_bound=0.25,
             role="shard",
             short_window=short_window,
@@ -164,8 +166,9 @@ class BurnRateEngine:
             )
             total = good + bad
             return bad / total if total > 0 else 0.0
+        metric, labels = parse_selector(slo.histogram)
         rollup = self.store.histogram_window(
-            slo.histogram, window=window, now=now, role=role
+            metric, window=window, now=now, role=role, labels=labels
         )
         if rollup is None or rollup.count <= 0:
             return 0.0

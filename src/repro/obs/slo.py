@@ -99,11 +99,13 @@ class BurnRateSLO:
 
     * ``"availability"`` -- good/bad are counter *selectors* (see below);
       the error rate over a window is ``bad / (good + bad)``.
-    * ``"latency"`` -- ``histogram`` names a scraped histogram metric
-      (exposition name, e.g. ``repro_daemon_admission_phase_seconds``)
-      and ``latency_bound`` the objective bound in the histogram's unit;
+    * ``"latency"`` -- ``histogram`` is a selector of a scraped
+      histogram metric (exposition name, e.g.
+      ``repro_daemon_admission_phase_seconds{phase="plan"}``) and
+      ``latency_bound`` the objective bound in the histogram's unit;
       the error rate is the windowed fraction of observations above the
-      bound, merged across every target the selector matches.
+      bound, merged across every series and target the selector
+      matches.
 
     A *selector* is ``metric_name`` or ``metric_name{label="value",...}``:
     the metric name must match exactly and every given label must match;

@@ -3,8 +3,7 @@
 Boots a :class:`~repro.service.daemon.ReservationDaemon` over a seeded
 :class:`~repro.sim.environment.GridEnvironment` and serves the admission
 API, the WebSocket event plane, and ``/metrics`` until a termination
-signal arrives; shutdown drains in-flight admissions before closing the
-listener (bounded by ``--drain-timeout``).
+signal arrives; shutdown refuses new admissions and closes the listener.
 
 SIGQUIT does *not* stop the daemon: it dumps the flight recorder (the
 always-on ring of recent spans, events and wire counters) to
@@ -51,9 +50,6 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
                         help="bounded EventLog capacity")
     parser.add_argument("--subscriber-queue", type=int, default=256,
                         help="default per-WebSocket-subscriber queue bound")
-    parser.add_argument("--drain-timeout", type=float, default=10.0,
-                        help="seconds to wait for in-flight admissions on "
-                             "shutdown")
     parser.add_argument("--access-log", action="store_true",
                         help="write one JSON access-log line per request "
                              "to stderr (method/path/status/duration/"
@@ -85,7 +81,6 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
         faults=FaultConfig() if args.faults else None,
         event_capacity=args.event_capacity,
         subscriber_queue=args.subscriber_queue,
-        drain_timeout=args.drain_timeout,
         access_log=args.access_log,
         flight_dir=args.flight_dir,
         shard_index=args.shard_index,
@@ -139,7 +134,7 @@ async def _serve(config: DaemonConfig) -> None:
         await stop.wait()
     finally:
         print("repro-serve: draining and shutting down", flush=True)
-        await daemon.shutdown(drain=True)
+        await daemon.shutdown()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -16,14 +16,14 @@ configured) alive behind an admission API, and
 ``GET  /v1/query``           daemon + session + utilization state
 ``GET  /v1/events``          WebSocket stream of the causal event log
 ``GET  /metrics``            Prometheus text exposition of the live registry
-``GET  /healthz``            liveness probe (uptime, in-flight, drain state)
+``GET  /healthz``            liveness probe (uptime, drain state)
 ``POST /v1/debug/dump``      flight-recorder snapshot on demand
 ===========================  ==================================================
 
-Admissions execute *serialized* on the event loop under one lock, so
-daemon decisions for a given request order are byte-identical to calling
-``coordinator.establish`` in-process in that order -- the property the
-acceptance test pins.  The event plane fans the coordinator's causal
+Admission handlers are synchronous and run one at a time on the event
+loop, so daemon decisions for a given request order are byte-identical
+to calling ``coordinator.establish`` in-process in that order -- the
+property the acceptance test pins.  The event plane fans the coordinator's causal
 :class:`~repro.obs.events.EventLog` out to WebSocket subscribers through
 bounded queues (:mod:`repro.service.events`): a slow consumer loses its
 own events behind a ``stream.truncated`` marker, never the daemon's.
@@ -35,8 +35,8 @@ Every request is handled under a request-scoped
 every span the coordinator emits and every causal event carries the
 request's ``trace_id``/``request_id``; trace ids never appear in
 response bodies, so decisions stay byte-identical to in-process calls.
-Per-phase admission latency (idle / parse / queue_wait / plan / commit /
-serialize) lands in ``daemon.admission_phase_seconds`` histograms with
+Per-phase admission latency (idle / parse / plan / commit / serialize)
+lands in ``daemon.admission_phase_seconds`` histograms with
 trace-id exemplars (``parse`` runs from the request line's arrival,
 ``idle`` is the keep-alive wait before it), and an always-on
 :class:`~repro.obs.flight.FlightRecorder` keeps the most recent spans +
@@ -47,7 +47,6 @@ exception, or the debug endpoint).
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import os as _os
 import sys as _sys
@@ -57,11 +56,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import AdmissionError, ModelError, ReproError
-from repro.core.planner import BasicPlanner, RandomPlanner
-from repro.core.tradeoff import TradeoffPlanner
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
-from repro.faults.coordinator import FaultTolerantCoordinator, Lease
+from repro.faults.coordinator import FaultTolerantCoordinator, Lease, LeaseTable
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_SEED_INDEX, FaultConfig, FaultPlan
 from repro.obs import context as _context
@@ -81,7 +78,12 @@ from repro.runtime.messages import PlanSegment
 from repro.service import http as _http
 from repro.service.events import EventPlane
 from repro.sim.environment import GridEnvironment
-from repro.sim.experiment import ALGORITHMS, CONTENTION_INDICES, derive_run_seed
+from repro.sim.experiment import (
+    ALGORITHMS,
+    CONTENTION_INDICES,
+    derive_run_seed,
+    make_planner,
+)
 from repro.sim.workload import SessionArrival
 
 __all__ = ["DaemonConfig", "ReservationDaemon", "ReservationService", "ServiceError"]
@@ -121,8 +123,6 @@ class DaemonConfig:
     event_capacity: Optional[int] = 65536
     #: Per-WebSocket-subscriber queue bound (the slow-consumer cutoff).
     subscriber_queue: int = 256
-    #: Seconds shutdown waits for in-flight admissions before forcing.
-    drain_timeout: float = 10.0
     #: Emit one JSON access-log line per request to stderr.
     access_log: bool = False
     #: Directory flight-recorder dumps are written to (None = no files;
@@ -155,8 +155,6 @@ class DaemonConfig:
             )
         if self.subscriber_queue < 2:
             raise ModelError("subscriber_queue must be >= 2")
-        if self.drain_timeout < 0:
-            raise ModelError("drain_timeout must be >= 0")
         if self.flight_spans <= 0 or self.flight_events <= 0:
             raise ModelError("flight_spans and flight_events must be positive")
         if self.shard_count < 1:
@@ -211,7 +209,7 @@ class ReservationService:
                 env=self.env,
             )
         self.coordinator = self.grid.coordinator
-        self.planner = self._make_planner()
+        self.planner = make_planner(config.algorithm, config.tie_break, self.streams)
         self.contention_index = CONTENTION_INDICES[config.contention_index]
         #: session_id -> the arrival facts needed to renegotiate/query it.
         self.sessions: Dict[str, dict] = {}
@@ -241,19 +239,13 @@ class ReservationService:
             self.shard_registry = self.grid.registry.subset(
                 sorted(self._owned_resources)
             )
-        #: Two-phase reserve/commit leases (lease_id -> (lease, hosts)).
-        self._shard_leases: Dict[str, Tuple[Lease, Tuple[str, ...]]] = {}
-        self._lease_seq = itertools.count(1)
+        #: Two-phase reserve/commit leases awaiting commit, abort or reaping.
+        self._shard_leases = LeaseTable(
+            ttl=config.lease_ttl, clock=_time.monotonic, separator="@"
+        )
         self.lease_counters = {
             "reserved": 0, "committed": 0, "aborted": 0, "expired": 0
         }
-
-    def _make_planner(self):
-        if self.config.algorithm == "basic":
-            return BasicPlanner(tie_break=self.config.tie_break)
-        if self.config.algorithm == "tradeoff":
-            return TradeoffPlanner(tie_break=self.config.tie_break)
-        return RandomPlanner(rng=self.streams.stream("random-planner"))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -363,7 +355,7 @@ class ReservationService:
             raise ServiceError(str(exc)) from exc
         return binding, component_hosts
 
-    # -- admission operations (serialized by the daemon's lock) ------------
+    # -- admission operations ----------------------------------------------
 
     def establish(self, payload: dict) -> dict:
         """One three-phase establishment; returns the JSON-ready outcome."""
@@ -544,15 +536,8 @@ class ReservationService:
         reservations = tuple(
             reservation for _, held in applied for reservation in held
         )
-        lease = Lease(
-            lease_id=f"{session_id}@{self.shard_label}#{next(self._lease_seq)}",
-            session_id=session_id,
-            host=self.shard_label,
-            reservations=reservations,
-            reserved_at=_time.monotonic(),
-            ttl=self.config.lease_ttl,
-        )
-        self._shard_leases[lease.lease_id] = (lease, tuple(sorted(per_proxy)))
+        lease = self._shard_leases.new(session_id, self.shard_label, reservations)
+        self._shard_leases.add(lease)
         self.lease_counters["reserved"] += 1
         _events.emit(
             "lease.reserved",
@@ -573,13 +558,12 @@ class ReservationService:
         lease_id = str(payload.get("lease_id") or "")
         if not lease_id:
             raise ServiceError("missing required field 'lease_id'")
-        entry = self._shard_leases.pop(lease_id, None)
-        if entry is None:
+        lease = self._shard_leases.pop(lease_id)
+        if lease is None:
             raise ServiceError(
                 f"unknown lease {lease_id!r} (expired or never reserved)",
                 status=404,
             )
-        lease, _hosts = entry
         meta = payload.get("session")
         record = {"cluster": True, "established_at": _time.monotonic()}
         if isinstance(meta, dict):
@@ -606,16 +590,10 @@ class ReservationService:
         lease_id = str(payload.get("lease_id") or "")
         if not lease_id:
             raise ServiceError("missing required field 'lease_id'")
-        entry = self._shard_leases.pop(lease_id, None)
-        if entry is None:
+        lease = self._shard_leases.pop(lease_id)
+        if lease is None:
             return {"lease_id": lease_id, "aborted": False, "released": 0}
-        lease, hosts = entry
-        released = sum(
-            self.grid.proxies[host].release_reservations(
-                lease.session_id, lease.reservations
-            )
-            for host in hosts
-        )
+        released = self._release_lease(lease)
         self.lease_counters["aborted"] += 1
         _events.emit(
             "lease.aborted",
@@ -628,29 +606,31 @@ class ReservationService:
 
     def reap_expired_leases(self, now: Optional[float] = None) -> int:
         """Release every lease past its TTL; returns the count reaped."""
-        now = _time.monotonic() if now is None else now
-        reaped = 0
-        for lease_id in sorted(self._shard_leases):
-            lease, hosts = self._shard_leases[lease_id]
-            if now < lease.expires_at:
-                continue
-            del self._shard_leases[lease_id]
-            released = sum(
-                self.grid.proxies[host].release_reservations(
-                    lease.session_id, lease.reservations
-                )
-                for host in hosts
-            )
+        expired = self._shard_leases.expire(now)
+        for lease in expired:
+            released = self._release_lease(lease)
             self.lease_counters["expired"] += 1
             _events.emit(
                 "lease.expired",
                 session=lease.session_id,
                 host=self.shard_label,
-                lease=lease_id,
+                lease=lease.lease_id,
                 released=released,
             )
-            reaped += 1
-        return reaped
+        return len(expired)
+
+    def _release_lease(self, lease: Lease) -> int:
+        """Release a lease's holds through the proxies owning them."""
+        hosts = {
+            self.coordinator.proxy_for(reservation.resource_id).host
+            for reservation in lease.reservations
+        }
+        return sum(
+            self.grid.proxies[host].release_reservations(
+                lease.session_id, lease.reservations
+            )
+            for host in sorted(hosts)
+        )
 
     def availability(self) -> dict:
         """Observed availability of this shard's demand-addressable slice.
@@ -802,10 +782,6 @@ class ReservationDaemon:
         self.service = ReservationService(self.config)
         self.stats = _DaemonStats()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._lock = asyncio.Lock()
-        self._inflight = 0
-        self._drained = asyncio.Event()
-        self._drained.set()
         self._draining = False
         self._ws_tasks: set = set()
         #: Open keep-alive connections (closed forcibly on shutdown so
@@ -837,32 +813,24 @@ class ReservationDaemon:
     async def _reap_leases_forever(self) -> None:
         """Release expired 2PC leases in the background.
 
-        Runs under the admission lock so a reap never interleaves with
-        a commit/abort of the same lease.
+        The reap is synchronous on the event loop, so it never
+        interleaves with a commit/abort of the same lease.
         """
         interval = max(0.05, min(1.0, self.config.lease_ttl / 4))
         while True:
             await asyncio.sleep(interval)
-            async with self._lock:
-                self.service.reap_expired_leases()
+            self.service.reap_expired_leases()
 
-    async def shutdown(self, *, drain: Optional[bool] = True) -> None:
-        """Stop accepting work, drain in-flight admissions, release state.
+    async def shutdown(self) -> None:
+        """Stop accepting work and release state.
 
-        New admissions are refused with 503 the moment shutdown begins;
-        requests already inside the admission lock complete (bounded by
-        ``config.drain_timeout``).  WebSocket streams are closed, the
-        socket and any idle keep-alive connections are closed, and the
-        observability handles are uninstalled.
+        New admissions are refused with 503 the moment shutdown begins.
+        No admission is ever half-done at an await point (handlers are
+        synchronous), so there is nothing to wait for: WebSocket
+        streams, the socket and any idle keep-alive connections are
+        closed, and the observability handles are uninstalled.
         """
         self._draining = True
-        if drain:
-            try:
-                await asyncio.wait_for(
-                    self._drained.wait(), timeout=self.config.drain_timeout
-                )
-            except asyncio.TimeoutError:  # pragma: no cover - pathological
-                pass
         if self._reaper_task is not None:
             self._reaper_task.cancel()
             try:
@@ -1030,7 +998,6 @@ class ReservationDaemon:
                     "requests": self.stats.requests,
                     "websocket_clients": self.stats.websocket_clients,
                     "uptime_seconds": _time.monotonic() - self.service.started_at,
-                    "inflight_admissions": self._inflight,
                     "draining": self._draining,
                 },
                 close=close,
@@ -1087,9 +1054,7 @@ class ReservationDaemon:
         payload = request.json()
         parse_seconds += _time.perf_counter() - decode_started
         name = request.path.rsplit("/", 1)[1]
-        return await self._admit(
-            handler, payload, name, parse_seconds, idle_seconds, close
-        )
+        return self._admit(handler, payload, name, parse_seconds, idle_seconds, close)
 
     def _debug_dump(self) -> dict:
         path = self.service.flight_dump("debug_endpoint")
@@ -1098,7 +1063,7 @@ class ReservationDaemon:
             "document": self.service.flight_snapshot("debug_endpoint"),
         }
 
-    async def _admit(
+    def _admit(
         self,
         handler,
         payload: dict,
@@ -1107,49 +1072,35 @@ class ReservationDaemon:
         idle_seconds: float,
         close: bool = True,
     ) -> bytes:
-        """Run one admission operation serialized under the lock.
+        """Run one admission operation to completion, without yielding.
 
-        The in-flight window covers lock wait + execution, so shutdown's
-        drain barrier sees every request that was accepted before the
-        draining flag flipped.  Each phase of the admission (idle /
-        parse / queue_wait / plan / commit / serialize) lands in the
-        ``daemon.admission_phase_seconds`` histogram, exemplared with
-        the request's trace id.
+        Each phase of the admission (idle / parse / plan / commit /
+        serialize) lands in the ``daemon.admission_phase_seconds``
+        histogram, exemplared with the request's trace id.
         """
         context = _context.current_trace_context()
         trace_id = context.trace_id if context is not None else None
-        self._inflight += 1
-        self._drained.clear()
-        queue_started = _time.perf_counter()
-        try:
-            async with self._lock:
-                queue_wait = _time.perf_counter() - queue_started
-                with _trace.span(f"daemon.{name}") as span:
-                    status, document = self._run(handler, payload)
-                    span.set(status=status)
-                plan_seconds, commit_seconds = self._planning_phases(trace_id)
-                serialize_started = _time.perf_counter()
-                response = _http.json_response_bytes(status, document, close=close)
-                serialize_seconds = _time.perf_counter() - serialize_started
-                self._observe_phases(
-                    trace_id,
-                    idle=idle_seconds,
-                    parse=parse_seconds,
-                    queue_wait=queue_wait,
-                    plan=plan_seconds,
-                    commit=commit_seconds,
-                    serialize=serialize_seconds,
-                )
-                return response
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._drained.set()
+        with _trace.span(f"daemon.{name}") as span:
+            status, document = self._run(handler, payload)
+            span.set(status=status)
+        plan_seconds, commit_seconds = self._planning_phases(trace_id)
+        serialize_started = _time.perf_counter()
+        response = _http.json_response_bytes(status, document, close=close)
+        serialize_seconds = _time.perf_counter() - serialize_started
+        self._observe_phases(
+            trace_id,
+            idle=idle_seconds,
+            parse=parse_seconds,
+            plan=plan_seconds,
+            commit=commit_seconds,
+            serialize=serialize_seconds,
+        )
+        return response
 
     def _planning_phases(self, trace_id: Optional[str]) -> Tuple[float, float]:
         """(plan, commit) seconds of the request that just ran.
 
-        Admissions are serialized under the lock, so this request's
+        Handlers run synchronously on the event loop, so this request's
         spans sit contiguously at the tail of the flight tracer's ring;
         walk backwards while the trace id matches.  ``plan_batch``
         parents the per-group ``phase2_plan`` spans, so a batch counts

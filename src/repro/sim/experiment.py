@@ -178,11 +178,17 @@ class SimulationResult:
         )
 
 
-def _make_planner(config: SimulationConfig, streams: RandomStreams):
-    if config.algorithm == "basic":
-        return BasicPlanner(tie_break=config.tie_break)
-    if config.algorithm == "tradeoff":
-        return TradeoffPlanner(tie_break=config.tie_break)
+def make_planner(algorithm: str, tie_break: bool, streams: RandomStreams):
+    """The planner one of :data:`ALGORITHMS` names.
+
+    ``random`` draws from the ``random-planner`` stream of ``streams``,
+    so a simulation, a daemon and a cluster router built from the same
+    seed make the same draws.
+    """
+    if algorithm == "basic":
+        return BasicPlanner(tie_break=tie_break)
+    if algorithm == "tradeoff":
+        return TradeoffPlanner(tie_break=tie_break)
     return RandomPlanner(rng=streams.stream("random-planner"))
 
 
@@ -266,7 +272,7 @@ def _run_simulation(
         grid.coordinator = FaultTolerantCoordinator(
             grid.registry, grid.model_store, grid.proxies, injector=injector, env=env
         )
-    planner = _make_planner(config, streams)
+    planner = make_planner(config.algorithm, config.tie_break, streams)
     contention_index = CONTENTION_INDICES[config.contention_index]
     metrics = MetricsCollector(family_of_service=evaluation_family_keys())
     metrics.keep_outcomes = config.keep_outcomes

@@ -232,3 +232,40 @@ def test_latency_slo_burns_on_merged_histogram():
     (status,) = empty.evaluate(now=1.0)
     assert status.error_rate_short == 0.0
     assert status.state == "ok"
+
+
+def test_default_latency_slo_ignores_keep_alive_idle_phase():
+    """The stock latency SLO reads phase="plan" only: a client's slow
+    keep-alive gap (phase="idle") is not admission latency."""
+    (slo,) = [
+        slo for slo in default_cluster_slos(
+            short_window=2.0, long_window=4.0, budget_window=8.0
+        )
+        if slo.name == "admission-latency"
+    ]
+    store = TimeSeriesStore()
+    engine = BurnRateEngine([slo], store, event_log=EventLog())
+
+    def feed_shard(ts, count):
+        lines = ["# TYPE repro_daemon_admission_phase_seconds histogram"]
+        for phase, seconds in (("plan", 0.01), ("idle", 0.5)):
+            fast = count if seconds <= 0.25 else 0
+            lines += [
+                "repro_daemon_admission_phase_seconds_bucket"
+                f'{{le="0.25",phase="{phase}"}} {fast}',
+                "repro_daemon_admission_phase_seconds_bucket"
+                f'{{le="+Inf",phase="{phase}"}} {count}',
+                f'repro_daemon_admission_phase_seconds_sum{{phase="{phase}"}} '
+                f"{seconds * count}",
+                f'repro_daemon_admission_phase_seconds_count{{phase="{phase}"}} '
+                f"{count}",
+            ]
+        store.record_scrape("a:1", parse_exposition("\n".join(lines) + "\n"),
+                            ts=ts, role="shard", shard="shard-0")
+
+    feed_shard(0.0, 0)
+    feed_shard(1.0, 10)
+    (status,) = engine.evaluate(now=1.0)
+    assert status.error_rate_short == 0.0
+    assert status.error_rate_long == 0.0
+    assert status.state == "ok"

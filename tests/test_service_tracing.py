@@ -187,7 +187,7 @@ def test_admission_phase_histograms_with_exemplars():
                     service="S2", domain="D1", session_id="s-ph"
                 )
             registry = daemon.service.registry
-            for phase in ("parse", "queue_wait", "plan", "commit", "serialize"):
+            for phase in ("parse", "plan", "commit", "serialize"):
                 histogram = registry.histogram(
                     "daemon.admission_phase_seconds", phase=phase
                 )
@@ -251,7 +251,7 @@ def test_parse_phase_excludes_keep_alive_idle_time(capsys):
 # healthz + debug dump + access log
 
 
-def test_healthz_reports_uptime_inflight_and_drain_state():
+def test_healthz_reports_uptime_and_drain_state():
     async def scenario():
         daemon = await start_daemon(seed=3)
         try:
@@ -260,7 +260,6 @@ def test_healthz_reports_uptime_inflight_and_drain_state():
             assert health["status"] == "ok"
             assert health["draining"] is False
             assert health["uptime_seconds"] >= 0.0
-            assert health["inflight_admissions"] == 0
         finally:
             await daemon.shutdown()
 
